@@ -174,30 +174,43 @@ def mix(
     return mixed, results
 
 
-def vq_losses(enc: Tensor, mixed: Tensor, beta: float) -> tuple[Tensor, Tensor]:
+def vq_losses(
+    enc: Tensor,
+    mixed: Tensor,
+    beta: float,
+    enc_const: np.ndarray | None = None,
+    mixed_const: np.ndarray | None = None,
+) -> tuple[Tensor, Tensor]:
     """(codebook_loss, commitment_loss), each a mean over tokens and dims.
 
     codebook_loss treats the encoder output as a constant and pulls the mixed
     quantization toward it; commitment_loss is the beta-scaled mirror image
-    that pulls the encoder toward the (constant) quantization.
+    that pulls the encoder toward the (constant) quantization. Those constants
+    are the current values of ``enc`` and ``mixed`` unless ``enc_const`` /
+    ``mixed_const`` pin them to fixed arrays.
     """
     if enc.shape != mixed.shape:
         raise DimensionError(f"vq_losses: shapes {enc.shape} and {mixed.shape} differ")
-    d_cb = stop_gradient(enc) - mixed
+    enc_sg = stop_gradient(enc) if enc_const is None else Tensor(enc_const, dtype=enc.dtype)
+    mixed_sg = stop_gradient(mixed) if mixed_const is None else Tensor(mixed_const, dtype=mixed.dtype)
+    d_cb = enc_sg - mixed
     codebook_loss = reduce_mean(d_cb * d_cb)
-    d_commit = enc - stop_gradient(mixed)
+    d_commit = enc - mixed_sg
     commitment_loss = reduce_mean(d_commit * d_commit) * float(beta)
     return codebook_loss, commitment_loss
 
 
-def straight_through(enc: Tensor, mixed: Tensor) -> Tensor:
+def straight_through(enc: Tensor, mixed: Tensor, offset: np.ndarray | None = None) -> Tensor:
     """Forward the quantized values; route the backward pass to the encoder.
 
     Equivalent to ``enc + stop_gradient(mixed - enc)`` but with the forward
     value taken from ``mixed`` exactly (no floating-point round trip): the
     output gradient is copied to ``enc`` unchanged, and nothing reaches the
-    codes through this path.
+    codes through this path. A fixed ``offset`` replaces ``mixed - enc``,
+    giving the smooth ``enc + offset``.
     """
     if enc.shape != mixed.shape:
         raise DimensionError(f"straight_through: shapes {enc.shape} and {mixed.shape} differ")
+    if offset is not None:
+        return enc + Tensor(offset, dtype=enc.dtype)
     return apply_op("straight_through", mixed.data, (enc, mixed), lambda g: (g, None))

@@ -11,11 +11,11 @@ Gradient routing notes that matter for training and verification:
 
 * the category-weight head reads a stop-gradiented pooled encoding, so the
   codebook loss trains the codes and the head but never the encoder stack;
-* ``forward_train(..., frozen=...)`` re-runs the forward with every
-  stop-gradient argument and code selection pinned to snapshots captured at
-  a base point. That variant is smooth, has the same value and the same
-  autodiff gradients at the base point, and is what finite differences are
-  checked against.
+* ``forward_train(..., frozen=...)`` runs the same forward with the code
+  selections, the pooled head input and the stop-gradient arguments pinned
+  to constants taken from an earlier pass (``FrozenForward``). That variant
+  is smooth, has the same autodiff gradients at the pinned point, and is what
+  finite differences are checked against.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .numerics.tensor import (
     layer_norm,
     masked_fill,
     matmul,
-    reduce_mean,
     softmax,
     stop_gradient,
     transpose,
@@ -143,23 +142,30 @@ def prepare_instance(
 
 @dataclass
 class ForwardOutput:
-    logits: Tensor  # (T_out, V) next-token scores under teacher forcing
+    logits: Tensor | None  # (T_out, V) next-token scores under teacher forcing; None if not decoded
     ci_logits: Tensor  # (2,) [descriptive, analytical]
     codebook_loss: Tensor
     commitment_loss: Tensor
     weights: list | None  # per bank category: 0.0 or a scalar tensor
-    fused: Tensor  # (N, H) memory handed to the decoder
+    enc: Tensor  # (N, H) encoder output
+    mixed: Tensor | None  # (N, H) weighted quantization; None without the codebook path
     indices: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrozenForward:
-    """Snapshots that pin every non-smooth choice of one forward pass."""
+    """Values from one forward pass that pin every non-smooth choice of another.
 
-    indices: dict[str, np.ndarray]
-    enc0: np.ndarray
-    mixed0: np.ndarray
-    pool0: np.ndarray
+    Fields left None are not pinned; the default instance is the live forward.
+    """
+
+    indices: dict[str, np.ndarray] | None = None  # code selected per token, per active category
+    enc0: np.ndarray | None = None  # encoder output
+    mixed0: np.ndarray | None = None  # weighted quantization
+    pool0: np.ndarray | None = None  # pooled encoding read by the weight head
+
+
+_LIVE = FrozenForward()
 
 
 # -- parameter construction -------------------------------------------------------
@@ -231,11 +237,6 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, T
 
 def parameter_group(params: dict[str, Tensor], prefixes: Sequence[str]) -> dict[str, Tensor]:
     return {n: p for n, p in params.items() if any(n.startswith(pre) for pre in prefixes)}
-
-
-def fuse(enc: Tensor, st_quantized: Tensor) -> Tensor:
-    """Residual sum of the straight-through quantization and the encoding."""
-    return st_quantized + enc
 
 
 class Model:
@@ -337,18 +338,17 @@ class Model:
 
     # -- decoder ------------------------------------------------------------------
 
-    def _decode(self, memory: Tensor, dec_ids: np.ndarray, mem_pad_mask: np.ndarray | None = None, dropout_rng=None) -> Tensor:
+    def _decode(self, memory: Tensor, dec_ids: np.ndarray, dropout_rng=None) -> Tensor:
         ids = np.asarray(dec_ids, dtype=np.int64)
         t = ids.shape[-1]
         causal = np.triu(np.ones((t, t), dtype=bool), k=1)
-        cross_mask = None if mem_pad_mask is None else np.asarray(mem_pad_mask, dtype=bool)[None, None, :]
         x = self._maybe_dropout(self._embed("dec", ids), dropout_rng)
         for i in range(self.config.layers):
             base = f"dec.l{i}"
             h = self._ln(f"{base}.ln1", x)
             x = x + self._maybe_dropout(self._mha(f"{base}.self", h, h, causal), dropout_rng)
             x = x + self._maybe_dropout(
-                self._mha(f"{base}.cross", self._ln(f"{base}.ln2", x), memory, cross_mask), dropout_rng
+                self._mha(f"{base}.cross", self._ln(f"{base}.ln2", x), memory, None), dropout_rng
             )
             x = x + self._maybe_dropout(self._ff(f"{base}.ff", self._ln(f"{base}.ln3", x)), dropout_rng)
         x = self._ln("dec.ln_f", x)
@@ -356,20 +356,16 @@ class Model:
 
     # -- reasoning path -----------------------------------------------------------
 
-    def _pool(self, x: Tensor, pad_mask: np.ndarray | None) -> Tensor:
-        if pad_mask is None:
-            return x.mean(axis=tuple(range(x.ndim - 1)))
-        keep = np.where(~np.asarray(pad_mask, dtype=bool))[0]
-        if keep.size == 0:
-            raise ContractError("cannot pool a fully padded sequence")
-        return gather(x, keep, axis=0).mean(axis=0)
+    def _pool(self, x: Tensor) -> Tensor:
+        return x.mean(axis=tuple(range(x.ndim - 1)))
 
-    def predict_weights(self, enc: Tensor, pad_mask: np.ndarray | None, category_mask: Sequence[bool], pooled_const: np.ndarray | None = None):
+    def predict_weights(self, enc: Tensor, category_mask: Sequence[bool], pooled_const: np.ndarray | None = None):
         """Masked softmax over the active bank categories.
 
         Returns one entry per bank category: exact float zero when inactive,
         a scalar tensor otherwise. The head reads a stop-gradiented pooled
-        encoding, so this path never backpropagates into the encoder stack.
+        encoding (or ``pooled_const``), so this path never backpropagates
+        into the encoder stack.
         """
         bank = self.bank()
         bank_mask = bank.mask_for(category_mask)
@@ -379,7 +375,7 @@ class Model:
         if pooled_const is not None:
             pooled = Tensor(pooled_const, dtype=self.dtype)
         else:
-            pooled = self._pool(stop_gradient(enc), pad_mask)
+            pooled = self._pool(stop_gradient(enc))
         scores = pooled.reshape((1, -1)) @ self._p("weight_head.w") + self._p("weight_head.b")
         active_scores = gather(scores.reshape((-1,)), np.asarray(active), axis=0)
         probs = softmax(active_scores, axis=0)
@@ -388,8 +384,17 @@ class Model:
             weights[i] = probs[pos]
         return weights, bank_mask
 
-    def classify_ci(self, fused: Tensor, pad_mask: np.ndarray | None = None) -> Tensor:
-        pooled = self._pool(fused, pad_mask)
+    def _weighted_mix(self, enc: Tensor, category_mask: Sequence[bool], pin: FrozenForward = _LIVE):
+        """Predicted category weights, then the weighted per-category quantization of ``enc``.
+
+        Returns (weights, mixed, selected code indices per active category).
+        """
+        weights, bank_mask = self.predict_weights(enc, category_mask, pooled_const=pin.pool0)
+        mixed, results = mix(self.bank(), enc, bank_mask, weights, indices=pin.indices)
+        return weights, mixed, {cat: qr.indices for cat, qr in results.items()}
+
+    def classify_ci(self, fused: Tensor) -> Tensor:
+        pooled = self._pool(fused)
         return (pooled.reshape((1, -1)) @ self._p("ci.w") + self._p("ci.b")).reshape((-1,))
 
     # -- training forward -----------------------------------------------------------
@@ -398,68 +403,40 @@ class Model:
         self,
         prepared: Prepared,
         beta: float = 0.25,
-        pad_mask: np.ndarray | None = None,
         dropout_rng=None,
         frozen: FrozenForward | None = None,
-        capture: bool = False,
-    ) -> ForwardOutput | tuple[ForwardOutput, FrozenForward]:
+        decode: bool = True,
+    ) -> ForwardOutput:
         """Teacher-forced forward for one instance.
 
-        With ``frozen`` given, code selections and every stop-gradient
-        argument are pinned to the snapshots, producing a smooth function
-        with identical value and gradients at the snapshot point.
+        With ``frozen`` given, code selections, the weight head's input and
+        every stop-gradient argument are pinned to its constants, producing a
+        smooth function with the same gradients at the pinned point. With
+        ``decode=False`` the decoder does not run and ``logits`` is None.
         """
-        cfg = self.config
-        enc = self.encode(prepared.input_ids, pad_mask=pad_mask, dropout_rng=dropout_rng)
-        zero = Tensor(np.zeros((), dtype=self.dtype))
-        weights = None
-        indices: dict[str, np.ndarray] = {}
-        snapshot = None
-
-        if cfg.strategy == "retag":
-            weights, bank_mask = self.predict_weights(
-                enc, pad_mask, prepared.category_mask, pooled_const=frozen.pool0 if frozen else None
-            )
-            mixed, results = mix(
-                self.bank(), enc, bank_mask, weights, indices=frozen.indices if frozen else None
-            )
-            indices = {cat: qr.indices for cat, qr in results.items()}
-            if frozen is None:
-                codebook_loss, commitment_loss = vq_losses(enc, mixed, beta)
-                st = straight_through(enc, mixed)
-            else:
-                enc0 = Tensor(frozen.enc0, dtype=self.dtype)
-                mixed0 = Tensor(frozen.mixed0, dtype=self.dtype)
-                d_cb = enc0 - mixed
-                codebook_loss = reduce_mean(d_cb * d_cb)
-                d_commit = enc - mixed0
-                commitment_loss = reduce_mean(d_commit * d_commit) * float(beta)
-                st = enc + Tensor(frozen.mixed0 - frozen.enc0, dtype=self.dtype)
-            u = fuse(enc, st)
-            if capture:
-                snapshot = FrozenForward(
-                    indices=dict(indices),
-                    enc0=enc.data.copy(),
-                    mixed0=mixed.data.copy(),
-                    pool0=self._pool(stop_gradient(enc), pad_mask).data.copy(),
-                )
-            codebook_losses = (codebook_loss, commitment_loss)
+        enc = self.encode(prepared.input_ids, dropout_rng=dropout_rng)
+        if self.config.strategy == "retag":
+            pin = frozen or _LIVE
+            weights, mixed, indices = self._weighted_mix(enc, prepared.category_mask, pin)
+            codebook_loss, commitment_loss = vq_losses(enc, mixed, beta, pin.enc0, pin.mixed0)
+            offset = None if frozen is None else frozen.mixed0 - frozen.enc0
+            memory = straight_through(enc, mixed, offset) + enc
         else:
-            u = enc
-            codebook_losses = (zero, zero)
-
-        ci_logits = self.classify_ci(u, pad_mask)
-        logits = self._decode(u, prepared.target_ids[:-1], mem_pad_mask=pad_mask, dropout_rng=dropout_rng)
-        out = ForwardOutput(
+            weights, mixed, indices = None, None, {}
+            codebook_loss = commitment_loss = Tensor(np.zeros((), dtype=self.dtype))
+            memory = enc
+        ci_logits = self.classify_ci(memory)
+        logits = self._decode(memory, prepared.target_ids[:-1], dropout_rng=dropout_rng) if decode else None
+        return ForwardOutput(
             logits=logits,
             ci_logits=ci_logits,
-            codebook_loss=codebook_losses[0],
-            commitment_loss=codebook_losses[1],
+            codebook_loss=codebook_loss,
+            commitment_loss=commitment_loss,
             weights=weights,
-            fused=u,
+            enc=enc,
+            mixed=mixed,
             indices=indices,
         )
-        return (out, snapshot) if capture else out
 
     # -- generation -------------------------------------------------------------------
 
@@ -469,9 +446,8 @@ class Model:
             return enc
         if category_mask is None:
             raise ContractError("retag generation needs a category mask")
-        weights, bank_mask = self.predict_weights(enc, None, category_mask)
-        mixed, _ = mix(self.bank(), enc, bank_mask, weights)
-        return fuse(enc, straight_through(enc, mixed))
+        _, mixed, _ = self._weighted_mix(enc, category_mask)
+        return straight_through(enc, mixed) + enc
 
     def generate(
         self,

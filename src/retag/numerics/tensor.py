@@ -159,8 +159,10 @@ class Tape:
     """Ordered log of op records forming a DAG in topological order.
 
     Use as a context manager; ops executed inside record their backward
-    rules here when gradients are required. One tape is single-threaded;
-    independent tapes may live on separate threads.
+    rules here when gradients are required. ``backward`` must run before the
+    block exits: leaving it drops the records, so the step's activations are
+    freed at once rather than by the cycle collector. The active-tape stack is
+    module-global, so tapes are single-threaded.
     """
 
     def __init__(self):
@@ -176,6 +178,9 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         popped = _TAPE_STACK.pop()
         assert popped is self, "tape stack corrupted"
+        self._records.clear()
+        self._leaves.clear()
+        self._produced.clear()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -236,6 +241,8 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tenso
         return {t: np.zeros_like(t.data) for t in requested}
 
     tape = loss.tape
+    if tape not in _TAPE_STACK:
+        raise ContractError("backward after the loss's tape was closed")
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones((), dtype=loss.data.dtype)}
     for rec in reversed(tape._records):
         g = grads.pop(rec.output_id, None)

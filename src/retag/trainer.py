@@ -12,10 +12,8 @@ with batches stratified to mix analytical and descriptive references.
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -124,8 +122,9 @@ def _batch_loss(model: Model, batch: Sequence[Prepared], cfg: TrainConfig, stage
     scale = 1.0 / len(batch)
     loss = None
     sums = {"generative": 0.0, "ci": 0.0, "codebook": 0.0, "commitment": 0.0}
+    decode = "generative" in _STAGE_TERMS[stage]
     for prepared in batch:
-        fwd = model.forward_train(prepared, beta=cfg.beta, dropout_rng=dropout_rng)
+        fwd = model.forward_train(prepared, beta=cfg.beta, dropout_rng=dropout_rng, decode=decode)
         item, parts = total_loss(fwd, prepared.target_ids, prepared.kind, cfg, stage=stage)
         loss = item if loss is None else loss + item
         for key, value in parts.items():
@@ -260,8 +259,9 @@ def _prepare_all(model: Model, instances: Sequence[Instance], strategy: str) -> 
 def pretrain(model: Model, corpus: Sequence[Instance], cfg: TrainConfig) -> TrainReport:
     """Two-stage pretraining over a reasoning-tagged corpus.
 
-    Stage 1 (``stage1_steps`` batches) trains only the quantization terms;
-    stage 2 (``stage2_steps``) adds the generative term. The classification
+    Stage 1 (``stage1_steps`` batches) trains only the quantization terms
+    and does not run the decoder; stage 2 (``stage2_steps``) adds the
+    generative term. The classification
     head is never touched here.
     """
     if cfg.strategy != "retag":
@@ -329,13 +329,11 @@ def evaluate(
     max_len: int | None = None,
     metric_cfg: MetricConfig = MetricConfig(),
     random_tags_seed: int | None = None,
-    workers: int | None = None,
 ) -> EvalReport:
-    """Generate for every instance and score against the gold references.
+    """Generate for every instance, in order, and score against the gold references.
 
     Grouping always follows the gold category sets, even when generation ran
-    with randomized tags. Instances fan out over ``workers`` threads
-    (``RETAG_THREADS`` by default); records keep the input order.
+    with randomized tags.
     """
     strategy = strategy or model.config.strategy
     eval_model = Model(replace(model.config, strategy=strategy), model.params, model.vocab)
@@ -344,31 +342,14 @@ def evaluate(
         if random_tags_seed is not None
         else [None] * len(instances)
     )
-    if workers is None:
-        workers = int(os.environ.get("RETAG_THREADS", "1") or "1")
-    workers = max(1, workers)
-
-    def run(pair):
-        inst, override = pair
+    records = []
+    for inst, override in zip(instances, overrides):
         prepared = prepare_instance(eval_model.vocab, inst, strategy, tags_override=override)
         text, log_prob = eval_model.generate(prepared.input_ids, prepared.category_mask, beam=beam, max_len=max_len)
-        return make_record(
-            inst.table.id,
-            text,
-            inst.reference,
-            inst.table,
-            inst.highlights,
-            inst.categories,
-            cfg=metric_cfg,
-            log_prob=log_prob,
-        )
-
-    pairs = list(zip(instances, overrides))
-    if workers == 1:
-        records = [run(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, pairs))
+        records.append(make_record(
+            inst.table.id, text, inst.reference, inst.table, inst.highlights, inst.categories,
+            cfg=metric_cfg, log_prob=log_prob,
+        ))
     return EvalReport.from_records(
         records,
         metadata={
@@ -386,7 +367,7 @@ def ci_accuracy(model: Model, instances: Sequence[Instance], cfg: TrainConfig) -
     correct = 0
     for inst in instances:
         prepared = prepare_instance(model.vocab, inst, model.config.strategy)
-        fwd = model.forward_train(prepared, beta=cfg.beta)
+        fwd = model.forward_train(prepared, beta=cfg.beta, decode=False)
         predicted = int(np.argmax(fwd.ci_logits.data))
         correct += int(predicted == prepared.ci_target)
     return correct / len(instances)

@@ -5,9 +5,10 @@ The end-to-end check compares three gradient fields at one point:
 
 1. autodiff of the real training loss (straight-through, stop-gradients,
    live nearest-code search);
-2. autodiff of the pinned forward (code selections and stop-gradient
-   arguments frozen to snapshots captured at that point) -- must agree with
-   (1) to float64 round-off, since the two graphs coincide at the point;
+2. autodiff of the pinned forward (code selections, the weight head's
+   input and the stop-gradient arguments frozen to the values of pass (1))
+   -- must agree with (1) to float64 round-off, since the two graphs
+   coincide at the point;
 3. central finite differences of the pinned forward, which is smooth, so
    (2) must match it within the requested tolerance.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, ModelConfig, prepare_instance
+from .model import FrozenForward, Model, ModelConfig, prepare_instance
 from .numerics.gradcheck import GradCheckReport, grad_check
 from .numerics.tensor import (
     Tape,
@@ -138,9 +139,12 @@ def model_end_to_end_check(h: float = 1e-5, tol: float = 1e-5, seed: int = 7) ->
     cfg = TrainConfig(strategy="retag", ci_enabled=True, beta=0.25)
 
     with Tape():
-        fwd, frozen = model.forward_train(prepared, beta=cfg.beta, capture=True)
+        fwd = model.forward_train(prepared, beta=cfg.beta)
         live_loss, _ = total_loss(fwd, prepared.target_ids, prepared.kind, cfg)
         live_grads = backward(live_loss, model.params.values())
+    frozen = FrozenForward(
+        indices=fwd.indices, enc0=fwd.enc.data, mixed0=fwd.mixed.data, pool0=model._pool(fwd.enc).data
+    )
 
     def pinned(params: dict[str, Tensor]) -> Tensor:
         probe = Model(model.config, params, model.vocab)

@@ -5,7 +5,7 @@ import pytest
 
 from retag.codebook import TWO_BANK_CATEGORIES
 from retag.errors import ConfigError, ContractError, LengthError
-from retag.model import Model, ModelConfig, fuse, prepare_instance
+from retag.model import Model, ModelConfig, prepare_instance
 from retag.numerics import Tape, backward, tensor
 from retag.tables import CATEGORIES, Instance, Table, build_vocab
 from retag.trainer import TrainConfig, total_loss
@@ -78,7 +78,7 @@ def test_encode_rejects_overlong_input(model):
 def test_predict_weights_masked_distribution(model):
     enc = model.encode(np.array([1, 7, 8, 2]))
     mask = tuple(c in {"numerical", "temporal"} for c in CATEGORIES)
-    weights, bank_mask = model.predict_weights(enc, None, mask)
+    weights, bank_mask = model.predict_weights(enc, mask)
     active = [w for w, m in zip(weights, bank_mask) if m]
     inactive = [w for w, m in zip(weights, bank_mask) if not m]
     assert all(w == 0.0 for w in inactive)
@@ -88,7 +88,7 @@ def test_predict_weights_masked_distribution(model):
 def test_predict_weights_single_category_is_one(model):
     enc = model.encode(np.array([1, 7, 2]))
     mask = tuple(c == "entity" for c in CATEGORIES)
-    weights, _ = model.predict_weights(enc, None, mask)
+    weights, _ = model.predict_weights(enc, mask)
     assert float(weights[CATEGORIES.index("entity")].data) == pytest.approx(1.0)
 
 
@@ -97,20 +97,11 @@ def test_predict_weights_uniform_with_zero_head(vocab):
     m.params["weight_head.w"] = tensor(np.zeros(m.params["weight_head.w"].shape), requires_grad=True)
     m.params["weight_head.b"] = tensor(np.zeros(m.params["weight_head.b"].shape), requires_grad=True)
     enc = m.encode(np.array([1, 7, 2]))
-    weights, _ = m.predict_weights(enc, None, (False, True, True, True, True, True))
+    weights, _ = m.predict_weights(enc, (False, True, True, True, True, True))
     vals = [float(w.data) for w in weights[1:]]
     assert np.allclose(vals, 1 / 5, atol=1e-7)
     with pytest.raises(ContractError):
-        m.predict_weights(enc, None, (False,) * 6)
-
-
-def test_fuse_is_elementwise_sum():
-    a = tensor([[1.0, 2.0]])
-    b = tensor([[3.0, 4.0]])
-    assert np.array_equal(fuse(a, b).data, [[4.0, 6.0]])
-    assert np.array_equal(fuse(a, b).data, fuse(b, a).data)
-    zero = tensor([[0.0, 0.0]])
-    assert np.array_equal(fuse(a, zero).data, a.data)
+        m.predict_weights(enc, (False,) * 6)
 
 
 def test_classify_ci_contract(model):

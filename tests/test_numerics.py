@@ -1,5 +1,8 @@
 """Tensor engine tests: forward oracles, backward rules, AdamW, grad checking."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,25 @@ def test_reused_output_accumulates_gradient():
         loss = (y * y).sum()
         grads = backward(loss, [x])
     assert np.allclose(grads[x], 2 * 3.0 * 3.0 * x.data)
+
+
+def test_closing_a_tape_frees_its_activations():
+    rng = np.random.default_rng(3)
+    w = t64(rng.normal(size=(3, 3)), requires_grad=True)
+    x = t64(rng.normal(size=(2, 3)))
+    gc.disable()
+    try:
+        with Tape():
+            h = gelu(x @ w)
+            activation = weakref.ref(h.data)
+            loss = (h * h).sum()
+            backward(loss, [w])
+        del h
+        assert activation() is None
+        with pytest.raises(ContractError):
+            backward(loss, [w])
+    finally:
+        gc.enable()
 
 
 # -- finite differences on every primitive ------------------------------------
