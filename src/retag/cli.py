@@ -69,7 +69,7 @@ class RunConfig:
         cfg = cls(**{k: dict(payload.get(k, {})) for k in sections})
         _check_keys("model", cfg.model, set(ModelConfig.__dataclass_fields__))
         _check_keys("train", cfg.train, set(TrainConfig.__dataclass_fields__))
-        _check_keys("metrics", cfg.metrics, {"parent_lambda", "bleu_max_order"})
+        _check_keys("metrics", cfg.metrics, set(MetricConfig.__dataclass_fields__))
         _check_keys("generator", cfg.generator, set(GeneratorSpec.__dataclass_fields__))
         return cfg
 
@@ -202,19 +202,20 @@ def _cmd_data_split(args) -> int:
     return 0
 
 
-def _build_model(cfg: RunConfig, instances: list[Instance], train_cfg: TrainConfig) -> Model:
-    vocab = build_vocab(_vocab_corpus(instances, train_cfg.strategy))
-    model_cfg = cfg.model_config(
-        vocab_size=len(vocab), strategy=train_cfg.strategy, codebook_count=train_cfg.codebook_count
-    )
-    return Model.init(model_cfg, vocab, seed=train_cfg.seed)
+def _build_model(cfg: RunConfig, instances: list[Instance], seed: int, **variant) -> Model:
+    """A fresh model; ``variant`` overrides keys of the config's model section."""
+    strategy = {**cfg.model, **variant}.get("strategy", ModelConfig.strategy)
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown model strategy {strategy!r}")
+    vocab = build_vocab(_vocab_corpus(instances, strategy))
+    return Model.init(cfg.model_config(vocab_size=len(vocab), **variant), vocab, seed=seed)
 
 
 def _cmd_pretrain(args) -> int:
     cfg = RunConfig.load(args.config)
     train_cfg = cfg.train_config(seed=args.seed)
     data = _train_slice(_load_instances(args.data))
-    model = _build_model(cfg, data, train_cfg)
+    model = _build_model(cfg, data, train_cfg.seed)
     report = pretrain(model, data, train_cfg)
     save_checkpoint(model, args.out, train_config=train_cfg.to_json())
     if args.report:
@@ -230,13 +231,12 @@ def _cmd_train(args) -> int:
     data = _train_slice(_load_instances(args.data))
     if args.init:
         model, _ = load_checkpoint(args.init)
-        if model.config.strategy != train_cfg.strategy or model.config.codebook_count != train_cfg.codebook_count:
-            raise ConfigError(
-                f"checkpoint was built for strategy={model.config.strategy!r}, "
-                f"codebooks={model.config.codebook_count}; train config disagrees"
-            )
+        built = model.config.to_json()
+        for key, value in sorted(cfg.model.items()):
+            if built[key] != value:
+                raise ConfigError(f"model {key}={value!r} in the config, but {args.init} was built with {built[key]!r}")
     else:
-        model = _build_model(cfg, data, train_cfg)
+        model = _build_model(cfg, data, train_cfg.seed)
     report = finetune(model, data, train_cfg)
     save_checkpoint(model, args.out, train_config=train_cfg.to_json())
     if args.report:
@@ -324,13 +324,8 @@ def _cmd_ablate(args) -> int:
         strategy, codebooks = _VARIANTS[variant]
         per_seed = []
         for seed in seeds:
-            train_cfg = cfg.train_config(
-                seed=seed,
-                strategy=strategy,
-                codebook_count=codebooks,
-                ci_enabled=(args.ci == "on"),
-            )
-            model = _build_model(cfg, instances, train_cfg)
+            train_cfg = cfg.train_config(seed=seed, ci_enabled=(args.ci == "on"))
+            model = _build_model(cfg, instances, seed, strategy=strategy, codebook_count=codebooks)
             if args.pretrain == "on" and strategy == "retag":
                 pretrain(model, pretrain_data, train_cfg)
             finetune(model, train_data, train_cfg)

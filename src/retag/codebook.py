@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .numerics.rng import RngStream
 from .numerics.tensor import Tensor, apply_op, gather, reduce_mean, stop_gradient
 from .tables import CATEGORIES
 
@@ -28,7 +27,6 @@ TWO_BANK_CATEGORIES = ("descriptive", "analytical")
 class QuantizeResult:
     quantized: Tensor  # (N, H), rows are copies of the selected codes
     indices: np.ndarray  # (N,) selected code per token
-    distances: np.ndarray  # (N,) L2 distance to the selected code
 
 
 class Codebook:
@@ -67,9 +65,7 @@ def quantize(cb: Codebook, enc: Tensor, indices: np.ndarray | None = None) -> Qu
         indices = np.asarray(indices, dtype=np.int64)
         if indices.shape != (enc.shape[0],):
             raise DimensionError(f"quantize: fixed indices {indices.shape} do not match {enc.shape[0]} tokens")
-    quantized = gather(cb.codes, indices, axis=0)
-    distances = np.linalg.norm(enc.data - quantized.data, axis=1)
-    return QuantizeResult(quantized=quantized, indices=indices, distances=distances)
+    return QuantizeResult(quantized=gather(cb.codes, indices, axis=0), indices=indices)
 
 
 class CodebookBank:
@@ -90,17 +86,6 @@ class CodebookBank:
             raise ContractError(f"codebook widths differ: {sorted(widths)}")
         self.categories = tuple(categories)
         self.codebooks = dict(codebooks)
-
-    @classmethod
-    def create(cls, count: int, k: int, width: int, rng: RngStream, dtype=np.float32) -> "CodebookBank":
-        if count not in (2, 6):
-            raise ContractError(f"bank size must be 2 or 6, got {count}")
-        categories = CATEGORIES if count == 6 else TWO_BANK_CATEGORIES
-        books = {}
-        for cat in categories:
-            codes = rng.child(f"codebook.{cat}").uniform(-1.0 / k, 1.0 / k, size=(k, width))
-            books[cat] = Codebook(cat, Tensor(codes, requires_grad=True, dtype=dtype))
-        return cls(books, categories)
 
     @classmethod
     def from_tensors(cls, tensors: Mapping[str, Tensor]) -> "CodebookBank":

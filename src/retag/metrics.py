@@ -22,7 +22,6 @@ from .tables import ANALYTICAL_CATEGORIES, Table, canonical_categories, tokenize
 @dataclass(frozen=True)
 class MetricConfig:
     parent_lambda: float = 0.1
-    bleu_max_order: int = 4
 
     def __post_init__(self):
         if not 0.0 <= self.parent_lambda <= 1.0:

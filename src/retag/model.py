@@ -320,19 +320,14 @@ class Model:
 
     # -- encoder ------------------------------------------------------------------
 
-    def encode(self, token_ids, pad_mask: np.ndarray | None = None, dropout_rng=None) -> Tensor:
-        """Token+position embeddings through pre-norm self-attention blocks.
-
-        ``pad_mask`` marks positions excluded from attention keys; rows at
-        non-pad positions are unaffected by appended padding.
-        """
+    def encode(self, token_ids, dropout_rng=None) -> Tensor:
+        """Token+position embeddings through pre-norm self-attention blocks."""
         ids = np.asarray(token_ids, dtype=np.int64)
-        attn_mask = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[None, None, :]
         x = self._maybe_dropout(self._embed("enc", ids), dropout_rng)
         for i in range(self.config.layers):
             base = f"enc.l{i}"
             h = self._ln(f"{base}.ln1", x)
-            x = x + self._maybe_dropout(self._mha(f"{base}.attn", h, h, attn_mask), dropout_rng)
+            x = x + self._maybe_dropout(self._mha(f"{base}.attn", h, h, None), dropout_rng)
             x = x + self._maybe_dropout(self._ff(f"{base}.ff", self._ln(f"{base}.ln2", x)), dropout_rng)
         return self._ln("enc.ln_f", x)
 

@@ -74,12 +74,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data, requires_grad=self.requires_grad, dtype=dtype)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -123,9 +117,6 @@ class Tensor:
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
 
-    def transpose(self, axes=None) -> "Tensor":
-        return transpose(self, axes)
-
     def __repr__(self) -> str:
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{grad})"
@@ -133,10 +124,6 @@ class Tensor:
 
 def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad: bool = False) -> Tensor:
-    return Tensor._wrap(np.zeros(shape, dtype=dtype), requires_grad)
 
 
 def _as_tensor(value, dtype) -> Tensor:
@@ -370,20 +357,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return apply_op("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ContractError("concat: need at least one tensor")
-    axis = _norm_axis("concat", axis, tensors[0].ndim)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        return tuple(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis) for i in range(len(sizes)))
-
-    return apply_op("concat", out, tuple(tensors), bwd)
-
-
 def index(a: Tensor, key) -> Tensor:
     """Basic (int/slice) indexing; gradient scatters back into zeros."""
     out = a.data[key]
@@ -455,18 +428,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (out * (g - dot),)
 
     return apply_op("softmax", out, (a,), bwd)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    axis = _norm_axis("log_softmax", axis, a.ndim)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    probs = np.exp(out)
-
-    def bwd(g):
-        return (g - probs * g.sum(axis=axis, keepdims=True),)
-
-    return apply_op("log_softmax", out, (a,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

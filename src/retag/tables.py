@@ -173,8 +173,8 @@ class Vocab:
         return token in self.token_to_id
 
 
-def build_vocab(corpus: Iterable[str], min_count: int = 1) -> Vocab:
-    """Count tokens over a corpus; keep those seen >= min_count times.
+def build_vocab(corpus: Iterable[str]) -> Vocab:
+    """Count tokens over a corpus; keep every token seen.
 
     Non-special tokens are ordered by (count desc, token asc) so id
     assignment is a pure function of the corpus.
@@ -187,7 +187,7 @@ def build_vocab(corpus: Iterable[str], min_count: int = 1) -> Vocab:
             counts[tok] = counts.get(tok, 0) + 1
     if empty:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    kept = [t for t, n in counts.items() if n >= min_count and t not in SPECIAL_TOKENS]
+    kept = [t for t in counts if t not in SPECIAL_TOKENS]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocab(list(SPECIAL_TOKENS) + kept)
 

@@ -7,11 +7,16 @@ corpus: stage 1 optimizes only the two quantization terms (codebooks, weight
 head, and encoder move; the decoder and classifier do not), stage 2 adds the
 generative term and the decoder. Fine-tuning optimizes every enabled term
 with batches stratified to mix analytical and descriptive references.
+
+The model variant (strategy and bank size) is the model's own
+``ModelConfig``; it decides the question text, which loss terms exist and
+which parameters train. ``TrainConfig`` holds only optimization settings.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -49,21 +54,29 @@ class TrainConfig:
     seed: int = 0
     stage1_steps: int = 500
     stage2_steps: int = 1500
-    strategy: str = "retag"
-    codebook_count: int = 6
     ci_enabled: bool = True
     grad_clip: float = 1.0
     log_every: int = 10
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.beta < 0:
-            raise ConfigError(f"commitment beta must be non-negative, got {self.beta}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if self.stage1_steps < 0 or self.stage2_steps < 0:
-            raise ConfigError("stage step counts must be non-negative")
+        # `not <in range>` rather than `<out of range>`: NaN fails every comparison
+        ranges = {
+            "lr": (0 < self.lr < math.inf, "in (0, inf)"),
+            "eps": (0 < self.eps < math.inf, "in (0, inf)"),
+            "beta1": (0 <= self.beta1 < 1, "in [0, 1)"),
+            "beta2": (0 <= self.beta2 < 1, "in [0, 1)"),
+            "weight_decay": (0 <= self.weight_decay < math.inf, "in [0, inf)"),
+            "beta": (0 <= self.beta < math.inf, "in [0, inf)"),
+            "grad_clip": (self.grad_clip >= 0, ">= 0 (0 turns clipping off)"),
+            "batch_size": (self.batch_size >= 1, ">= 1"),
+            "epochs": (self.epochs >= 0, ">= 0"),
+            "stage1_steps": (self.stage1_steps >= 0, ">= 0"),
+            "stage2_steps": (self.stage2_steps >= 0, ">= 0"),
+            "log_every": (self.log_every >= 1, ">= 1"),
+        }
+        for name, (ok, allowed) in ranges.items():
+            if not ok:
+                raise ConfigError(f"train config {name} must be {allowed}, got {getattr(self, name)}")
 
     def to_json(self) -> dict:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
@@ -76,9 +89,9 @@ class TrainConfig:
         return cls(**payload)
 
 
-def ci_active(cfg: TrainConfig) -> bool:
+def ci_active(cfg: TrainConfig, strategy: str) -> bool:
     """The classification term applies only when the codebook path is live."""
-    return cfg.ci_enabled and cfg.strategy == "retag"
+    return cfg.ci_enabled and strategy == "retag"
 
 
 # -- loss ---------------------------------------------------------------------------
@@ -105,7 +118,7 @@ def total_loss(fwd, targets: np.ndarray, kind: str, cfg: TrainConfig, stage: str
     if "generative" in terms:
         gen = add(cross_entropy(fwd.logits, targets[1:], ignore_index=PAD))
         parts["generative"] = float(gen.data)
-    if "ci" in terms and ci_active(cfg):
+    if "ci" in terms and cfg.ci_enabled and fwd.mixed is not None:
         target = 0 if kind == "descriptive" else 1
         ci = add(cross_entropy(fwd.ci_logits.reshape((1, -1)), np.array([target])))
         parts["ci"] = float(ci.data)
@@ -123,8 +136,10 @@ def _batch_loss(model: Model, batch: Sequence[Prepared], cfg: TrainConfig, stage
     loss = None
     sums = {"generative": 0.0, "ci": 0.0, "codebook": 0.0, "commitment": 0.0}
     decode = "generative" in _STAGE_TERMS[stage]
-    for prepared in batch:
-        fwd = model.forward_train(prepared, beta=cfg.beta, dropout_rng=dropout_rng, decode=decode)
+    for i, prepared in enumerate(batch):
+        # a stream per instance, so its masks do not depend on the draws of the instances before it
+        drop = dropout_rng.child(str(i)) if dropout_rng is not None else None
+        fwd = model.forward_train(prepared, beta=cfg.beta, dropout_rng=drop, decode=decode)
         item, parts = total_loss(fwd, prepared.target_ids, prepared.kind, cfg, stage=stage)
         loss = item if loss is None else loss + item
         for key, value in parts.items():
@@ -175,14 +190,14 @@ class TrainReport:
 # -- parameter groups ----------------------------------------------------------------
 
 
-def stage_prefixes(stage: str, cfg: TrainConfig) -> tuple[str, ...]:
-    if cfg.strategy == "retag":
+def stage_prefixes(stage: str, cfg: TrainConfig, strategy: str) -> tuple[str, ...]:
+    if strategy == "retag":
         quant = ("enc.", "weight_head.", "codebook.")
         if stage == "stage1":
             return quant
         if stage == "stage2":
             return quant + ("dec.",)
-        return quant + ("dec.",) + (("ci.",) if ci_active(cfg) else ())
+        return quant + ("dec.",) + (("ci.",) if ci_active(cfg, strategy) else ())
     if stage in ("stage1", "stage2"):
         raise ConfigError("pretraining stages need the retag strategy (codebooks are the point)")
     return ("enc.", "dec.")
@@ -234,7 +249,7 @@ def stratified_batches(analytical: list, descriptive: list, batch_size: int, rng
 
 
 def _run_stage(model: Model, batches: Sequence[Sequence[Prepared]], cfg: TrainConfig, stage: str, report: TrainReport, dropout_root: RngStream | None) -> None:
-    group = parameter_group(model.params, stage_prefixes(stage, cfg))
+    group = parameter_group(model.params, stage_prefixes(stage, cfg, model.config.strategy))
     state = OptimState.init(group)
     for step, batch in enumerate(batches):
         drop = dropout_root.child(f"{stage}.{step}") if dropout_root is not None else None
@@ -252,8 +267,8 @@ def _run_stage(model: Model, batches: Sequence[Sequence[Prepared]], cfg: TrainCo
             report.log(stage, step, float(loss.data), comps, norm)
 
 
-def _prepare_all(model: Model, instances: Sequence[Instance], strategy: str) -> list[Prepared]:
-    return [prepare_instance(model.vocab, inst, strategy) for inst in instances]
+def _prepare_all(model: Model, instances: Sequence[Instance]) -> list[Prepared]:
+    return [prepare_instance(model.vocab, inst, model.config.strategy) for inst in instances]
 
 
 def pretrain(model: Model, corpus: Sequence[Instance], cfg: TrainConfig) -> TrainReport:
@@ -264,11 +279,11 @@ def pretrain(model: Model, corpus: Sequence[Instance], cfg: TrainConfig) -> Trai
     generative term. The classification
     head is never touched here.
     """
-    if cfg.strategy != "retag":
+    if model.config.strategy != "retag":
         raise ConfigError("pretraining requires the retag strategy")
     start = time.perf_counter()
     report = TrainReport(seed=cfg.seed)
-    prepared = _prepare_all(model, corpus, cfg.strategy)
+    prepared = _prepare_all(model, corpus)
     rng = RngStream(cfg.seed, ("pretrain",))
     dropout_root = rng.child("dropout") if model.config.dropout > 0 else None
     if cfg.stage1_steps:
@@ -283,10 +298,10 @@ def finetune(model: Model, corpus: Sequence[Instance], cfg: TrainConfig) -> Trai
     """Fine-tune for ``cfg.epochs`` passes with kind-stratified batches."""
     start = time.perf_counter()
     report = TrainReport(seed=cfg.seed)
-    prepared = _prepare_all(model, corpus, cfg.strategy)
+    prepared = _prepare_all(model, corpus)
     analytical = [p for p in prepared if p.kind == "analytical"]
     descriptive = [p for p in prepared if p.kind == "descriptive"]
-    if (not analytical or not descriptive) and ci_active(cfg):
+    if (not analytical or not descriptive) and ci_active(cfg, model.config.strategy):
         warnings.warn("corpus has a single kind; stratification disabled", stacklevel=2)
     rng = RngStream(cfg.seed, ("finetune",))
     dropout_root = rng.child("dropout") if model.config.dropout > 0 else None

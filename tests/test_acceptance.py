@@ -2,11 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Training-backed criteria
 share a session-scoped harness (four model variants, three seeds each), so
-the suite trains twelve small models; expect roughly 10-15 minutes on a
-laptop CPU. Everything is deterministic in the fixed seeds below.
+the suite trains twelve small models, two at a time in forked workers where
+the process may use two CPUs; expect roughly 8 minutes on two CPUs.
+Everything is deterministic in the fixed seeds below.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from retag.corpus import GeneratorSpec, classify_heuristic, split, synth_generat
 from retag.errors import FormatError
 from retag.metrics import bleu, parent, rouge_l
 from retag.model import Model, ModelConfig, prepare_instance
-from retag.numerics import Tape, backward, tensor
+from retag.numerics import Tape, Tensor, backward, tensor
 from retag.tables import (
     ANALYTICAL_CATEGORIES,
     build_input,
@@ -75,6 +79,7 @@ class Harness:
         texts.append(build_question("tags", {"descriptive"}))
         self.vocab = build_vocab(texts)
         self._models: dict = {}
+        self._pretrained: dict = {}
         self._reports: dict = {}
 
     def train_config(self, variant: str, seed: int) -> TrainConfig:
@@ -87,21 +92,27 @@ class Harness:
             stage2_steps=400,
             epochs=6,
             ci_enabled=v["ci_enabled"],
-            codebook_count=v["codebook_count"],
+        )
+
+    def model_config(self, variant: str) -> ModelConfig:
+        return ModelConfig(
+            vocab_size=len(self.vocab), layers=2, heads=4, hidden=64, ffn=128,
+            max_len=200, k=6, strategy="retag", codebook_count=VARIANTS[variant]["codebook_count"],
         )
 
     def model(self, variant: str, seed: int) -> Model:
         key = (variant, seed)
         if key not in self._models:
             v = VARIANTS[variant]
-            config = ModelConfig(
-                vocab_size=len(self.vocab), layers=2, heads=4, hidden=64, ffn=128,
-                max_len=200, k=6, strategy="retag", codebook_count=v["codebook_count"],
-            )
             cfg = self.train_config(variant, seed)
-            model = Model.init(config, self.vocab, seed=seed)
+            model = Model.init(self.model_config(variant), self.vocab, seed=seed)
             if v["pretrained"]:
-                pretrain(model, self.pre_corpus, cfg)
+                # pretraining never reads ci_enabled, so retag6 and retag6-noci share it
+                pre_key = (v["codebook_count"], seed)
+                if pre_key not in self._pretrained:
+                    pretrain(model, self.pre_corpus, cfg)
+                    self._pretrained[pre_key] = dict(model.params)
+                model.params.update(self._pretrained[pre_key])
             finetune(model, self.train_set, cfg)
             self._models[key] = model
         return self._models[key]
@@ -118,16 +129,64 @@ class Harness:
             )
         return self._reports[key]
 
+    def prefetch(self, keys) -> None:
+        """Compute the missing ``report(*key)`` values in forked workers, two at a time.
+
+        A worker runs the same serial code on its copy of the harness and
+        sends back the weights and reports it made; every result is a pure
+        function of its key, so it is bitwise what this process would compute.
+        """
+        todo = [key for key in dict.fromkeys(keys) if key not in self._reports]
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(2, cpus, len(todo))
+        if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            return
+        global _FORKED
+        _FORKED = self
+        try:
+            # a worker that dies raises BrokenProcessPool here instead of hanging the suite
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                results = list(pool.map(_report_in_worker, todo))
+        finally:
+            _FORKED = None
+        for models, pretrained, reports in results:
+            for (variant, seed), weights in models.items():
+                if (variant, seed) not in self._models:
+                    self._models[variant, seed] = Model(self.model_config(variant), _tensors(weights), self.vocab)
+            for key, weights in pretrained.items():
+                self._pretrained.setdefault(key, _tensors(weights))
+            self._reports.update(reports)
+
     def mean_bleu1(self, variant: str, random_offset=None, subset=None) -> float:
+        random_seeds = {seed: None if random_offset is None else random_offset + seed for seed in SEEDS}
+        self.prefetch([(variant, seed, random_seed) for seed, random_seed in random_seeds.items()])
         scores = []
-        for seed in SEEDS:
-            random_seed = None if random_offset is None else random_offset + seed
+        for seed, random_seed in random_seeds.items():
             report = self.report(variant, seed, random_seed)
             records = report.records
             if subset is not None:
                 records = [r for r in records if subset(r)]
             scores.append(bleu([r.candidate for r in records], [r.reference for r in records], order=1))
         return float(np.mean(scores))
+
+
+_FORKED: Harness | None = None
+
+
+def _report_in_worker(key):
+    h = _FORKED
+    models, pretrained = set(h._models), set(h._pretrained)
+    report = h.report(*key)
+    arrays = lambda params: {name: p.data for name, p in params.items()}
+    return (
+        {k: arrays(m.params) for k, m in h._models.items() if k not in models},
+        {k: arrays(p) for k, p in h._pretrained.items() if k not in pretrained},
+        {key: report},
+    )
+
+
+def _tensors(arrays: dict) -> dict:
+    return {name: Tensor(a, requires_grad=True, dtype=a.dtype) for name, a in arrays.items()}
 
 
 @pytest.fixture(scope="session")
@@ -255,6 +314,7 @@ def test_criterion_5_random_tag_control(harness):
 
 def test_criterion_6_codebook_and_ci_ablations(harness):
     multi = lambda rec: len(rec.categories) >= 2
+    harness.prefetch([(variant, seed, None) for variant in ("retag2", "retag6-noci") for seed in SEEDS])
     six = harness.mean_bleu1("retag6", subset=multi)
     two = harness.mean_bleu1("retag2", subset=multi)
     assert six >= two - 0.3, f"6-codebook {six:.2f} vs 2-codebook {two:.2f} on the multi-category slice"

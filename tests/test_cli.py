@@ -178,6 +178,44 @@ def test_exit_codes():
     assert main(["generate"]) == 1  # missing required flags
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("train", "strategy", "notags"), ("train", "codebook_count", 2), ("metrics", "bleu_max_order", 4)],
+)
+def test_removed_config_keys_are_rejected(tmp_path, capsys, section, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({section: {key: value}}))
+    assert main(["data", "synth", "--config", str(bad), "--n", "5", "--out", str(tmp_path / "o.jsonl")]) == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["lr", "beta", "eps", "beta1", "beta2", "weight_decay", "grad_clip"])
+def test_nan_train_setting_is_a_config_error(tmp_path, capsys, key):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"train": {key: float("nan")}}))  # json writes the bare token NaN
+    assert "NaN" in bad.read_text()
+    rc = main(["train", "--config", str(bad), "--data", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "m.rtag")])
+    assert rc == 1
+    assert f"{key} must be" in capsys.readouterr().err
+
+
+def test_train_init_rejects_conflicting_model_setting(trained, tmp_path, capsys):
+    root, _, _ = trained
+    conflict = json.loads(json.dumps(MICRO_CONFIG))
+    conflict["model"]["codebook_count"] = 2
+    cfg = tmp_path / "conflict.json"
+    cfg.write_text(json.dumps(conflict))
+    rc = main(
+        [
+            "train", "--config", str(cfg), "--data", str(root / "split.jsonl"),
+            "--init", str(root / "pre.rtag"), "--out", str(tmp_path / "m.rtag"),
+        ]
+    )
+    assert rc == 1
+    assert "codebook_count" in capsys.readouterr().err
+    assert not (tmp_path / "m.rtag").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"model": {"layrs": 2}}))

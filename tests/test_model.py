@@ -61,15 +61,6 @@ def test_encode_is_position_sensitive(model):
     assert not np.allclose(a.data, b.data)
 
 
-def test_encode_pad_rows_do_not_disturb_content(model):
-    ids = np.array([1, 7, 8, 9, 2])
-    plain = model.encode(ids)
-    padded_ids = np.concatenate([ids, [0, 0, 0]])
-    pad_mask = np.array([False] * 5 + [True] * 3)
-    padded = model.encode(padded_ids, pad_mask=pad_mask)
-    assert np.allclose(plain.data, padded.data[:5], atol=1e-6)
-
-
 def test_encode_rejects_overlong_input(model):
     with pytest.raises(LengthError):
         model.encode(np.ones(model.config.max_len + 1, dtype=np.int64))
@@ -161,7 +152,7 @@ def test_strategy_isolation_no_codebook_gradients(vocab):
     for strategy in ("notags", "tags"):
         m = Model.init(mk_config(vocab, strategy=strategy), vocab, seed=2)
         prepared = prepare_instance(vocab, mk_instance({"numerical"}), strategy)
-        cfg = TrainConfig(strategy=strategy, ci_enabled=False)
+        cfg = TrainConfig(ci_enabled=False)
         with Tape():
             fwd = m.forward_train(prepared)
             loss, _ = total_loss(fwd, prepared.target_ids, prepared.kind, cfg)

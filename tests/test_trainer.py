@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import retag.trainer as trainer_mod
 from retag.corpus import GeneratorSpec, synth_generate
 from retag.errors import ConfigError
 from retag.metrics import EvalReport, make_record
@@ -59,7 +60,7 @@ def _stub_forward(logits, vocab_size):
 def test_total_loss_uniform_two_token_vocab_is_ln2():
     # two decoder steps, two-token vocab, equal logits -> p(target) = 0.5
     fwd = _stub_forward(np.zeros((2, 2)), 2)
-    cfg = TrainConfig(strategy="notags", ci_enabled=False)
+    cfg = TrainConfig(ci_enabled=False)
     targets = np.array([1, 0, 1])  # bos, label, label
     loss, parts = total_loss(fwd, targets, "analytical", cfg)
     assert float(loss.data) == pytest.approx(math.log(2), abs=1e-6)
@@ -92,18 +93,19 @@ def test_total_equals_sum_of_components_every_logged_step():
 
 
 def test_ci_only_applies_to_retag():
-    assert ci_active(TrainConfig(strategy="retag", ci_enabled=True))
-    assert not ci_active(TrainConfig(strategy="retag", ci_enabled=False))
-    assert not ci_active(TrainConfig(strategy="tags", ci_enabled=True))
+    assert ci_active(TrainConfig(ci_enabled=True), "retag")
+    assert not ci_active(TrainConfig(ci_enabled=False), "retag")
+    assert not ci_active(TrainConfig(ci_enabled=True), "tags")
 
 
 def test_stage_prefixes_and_routing():
-    cfg = TrainConfig(strategy="retag", ci_enabled=True)
-    assert "dec." not in stage_prefixes("stage1", cfg)
-    assert "ci." not in stage_prefixes("stage2", cfg)
-    assert "ci." in stage_prefixes("finetune", cfg)
+    cfg = TrainConfig(ci_enabled=True)
+    assert "dec." not in stage_prefixes("stage1", cfg, "retag")
+    assert "ci." not in stage_prefixes("stage2", cfg, "retag")
+    assert "ci." in stage_prefixes("finetune", cfg, "retag")
+    assert stage_prefixes("finetune", cfg, "tags") == ("enc.", "dec.")
     with pytest.raises(ConfigError):
-        stage_prefixes("stage1", TrainConfig(strategy="tags"))
+        stage_prefixes("stage1", cfg, "tags")
 
 
 def test_stage1_decoder_gradients_are_exactly_zero():
@@ -125,7 +127,7 @@ def test_stage1_skips_decoder_without_changing_loss_or_gradients(monkeypatch):
     model, instances = tiny_setup(n=8)
     cfg = TrainConfig()
     batch = [prepare_instance(model.vocab, inst, "retag") for inst in instances[:4]]
-    group = parameter_group(model.params, stage_prefixes("stage1", cfg))
+    group = parameter_group(model.params, stage_prefixes("stage1", cfg, "retag"))
     assert sorted({n.split(".")[0] for n in group}) == ["codebook", "enc", "weight_head"]
     with monkeypatch.context() as patch, Tape():
         patch.setattr(Model, "_decode", lambda *args, **kwargs: pytest.fail("stage 1 ran the decoder"))
@@ -143,6 +145,43 @@ def test_stage1_skips_decoder_without_changing_loss_or_gradients(monkeypatch):
     assert loss.data.tobytes() == decoded.data.tobytes()
     for name, p in group.items():
         assert grads[p].tobytes() == decoded_grads[p].tobytes(), name
+
+
+def test_finetune_follows_the_model_strategy(monkeypatch):
+    model, instances = tiny_setup(n=8, strategy="notags")
+    frozen = {n: p.data.copy() for n, p in model.params.items() if n.startswith(("ci.", "weight_head.", "codebook."))}
+    strategies = []
+    inner = trainer_mod.prepare_instance
+
+    def spy(vocab, inst, strategy, **kwargs):
+        strategies.append(strategy)
+        return inner(vocab, inst, strategy, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "prepare_instance", spy)
+    report = finetune(model, instances, TrainConfig(epochs=1, batch_size=4, log_every=1))
+    assert set(strategies) == {"notags"}
+    assert report.steps and all(s["ci"] == 0.0 for s in report.steps)
+    for name, before in frozen.items():
+        assert model.params[name].data.tobytes() == before.tobytes(), name
+
+
+def test_each_instance_draws_its_own_dropout_stream():
+    from dataclasses import replace
+
+    model, instances = tiny_setup(n=8)
+    model = Model(replace(model.config, dropout=0.1), model.params, model.vocab)
+    cfg = TrainConfig()
+    batch = [prepare_instance(model.vocab, inst, "retag") for inst in instances[:2]]
+    root = RngStream(5, ("dropout",))
+    loss, _ = _batch_loss(model, batch, cfg, "finetune", dropout_rng=root)
+    singles = []
+    for i, prepared in enumerate(batch):
+        fwd = model.forward_train(prepared, beta=cfg.beta, dropout_rng=root.child(str(i)))
+        singles.append(total_loss(fwd, prepared.target_ids, prepared.kind, cfg)[0])
+    mean = (singles[0] + singles[1]) * 0.5
+    assert loss.data.tobytes() == mean.data.tobytes()
+    undropped, _ = _batch_loss(model, batch, cfg, "finetune")
+    assert loss.data != undropped.data
 
 
 def test_stage1_descends_on_codebook_loss():
@@ -166,7 +205,7 @@ def test_pretraining_never_touches_ci_head():
 def test_pretrain_requires_retag():
     model, instances = tiny_setup(n=8, strategy="tags")
     with pytest.raises(ConfigError):
-        pretrain(model, instances, TrainConfig(strategy="tags"))
+        pretrain(model, instances, TrainConfig())
 
 
 def test_stratified_batches_all_mixed_on_balanced_corpus():
