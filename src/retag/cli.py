@@ -282,6 +282,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = RunConfig.load(args.config)
+    metric_cfg = cfg.metric_config()
     model, _ = load_checkpoint(args.ckpt)
     instances = _load_instances(args.data, split=args.split)
     report = evaluate(
@@ -289,7 +290,7 @@ def _cmd_eval(args) -> int:
         instances,
         strategy=args.strategy,
         beam=args.beam,
-        metric_cfg=cfg.metric_config(),
+        metric_cfg=metric_cfg,
         random_tags_seed=args.seed if args.random_tags else None,
     )
     report.metadata["timestamp"] = time.time()
@@ -309,6 +310,7 @@ _VARIANTS = {
 
 def _cmd_ablate(args) -> int:
     cfg = RunConfig.load(args.config)
+    metric_cfg = cfg.metric_config()
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     for v in variants:
         if v not in _VARIANTS:
@@ -329,7 +331,7 @@ def _cmd_ablate(args) -> int:
             if args.pretrain == "on" and strategy == "retag":
                 pretrain(model, pretrain_data, train_cfg)
             finetune(model, train_data, train_cfg)
-            report = evaluate(model, eval_data, beam=args.beam, metric_cfg=cfg.metric_config())
+            report = evaluate(model, eval_data, beam=args.beam, metric_cfg=metric_cfg)
             per_seed.append(report.aggregates)
         mean = {
             group: {

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .tables import ANALYTICAL_CATEGORIES, Table, canonical_categories, tokenize
 
 
@@ -24,8 +25,10 @@ class MetricConfig:
     parent_lambda: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 <= self.parent_lambda <= 1.0:
-            raise ContractError(f"parent lambda {self.parent_lambda} outside [0, 1]")
+        lam = self.parent_lambda
+        # `not <in range>` rather than `<out of range>`: NaN fails every comparison
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0.0 <= lam <= 1.0:
+            raise ConfigError(f"metrics config parent_lambda must be a number in [0, 1], got {lam!r}")
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:

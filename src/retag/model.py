@@ -16,6 +16,12 @@ Gradient routing notes that matter for training and verification:
   to constants taken from an earlier pass (``FrozenForward``). That variant
   is smooth, has the same autodiff gradients at the pinned point, and is what
   finite differences are checked against.
+
+Generation is incremental: ``generate`` keeps a ``DecodeCache`` of each
+decoder layer's attention keys and values, and every beam step calls
+``_decode`` with only the live hypotheses' newest tokens. Training and
+teacher-forced rescoring call the same ``_decode`` with the whole target
+prefix and no cache.
 """
 
 from __future__ import annotations
@@ -168,6 +174,36 @@ class FrozenForward:
 _LIVE = FrozenForward()
 
 
+@dataclass
+class DecodeCache:
+    """Each decoder layer's attention keys and values, for feeding one token per step.
+
+    ``self_kv`` holds the self-attention keys and values of the ``length``
+    tokens fed so far, one row per hypothesis; ``memory_kv`` holds each
+    layer's cross-attention keys and values of the memory. All are constant
+    tensors that no tape tracks: the cache serves inference only.
+    """
+
+    length: int = 0
+    self_kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
+    memory_kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
+
+    def append(self, base: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Add the new tokens' keys and values (rows, heads, t, dh); return all of them."""
+        if base in self.self_kv:
+            k0, v0 = self.self_kv[base]
+            k, v = (Tensor(np.concatenate([old.data, new.data], axis=-2)) for old, new in ((k0, k), (v0, v)))
+        else:
+            k, v = stop_gradient(k), stop_gradient(v)
+        self.self_kv[base] = (k, v)
+        return k, v
+
+    def reorder(self, rows: Sequence[int]) -> None:
+        """Make row ``rows[j]`` row ``j``: each surviving hypothesis takes its parent's keys and values."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.self_kv = {base: (Tensor(k.data[rows]), Tensor(v.data[rows])) for base, (k, v) in self.self_kv.items()}
+
+
 # -- parameter construction -------------------------------------------------------
 
 
@@ -277,7 +313,16 @@ class Model:
     def _p(self, name: str) -> Tensor:
         return self.params[name]
 
-    def _mha(self, base: str, q_in: Tensor, kv_in: Tensor, attn_mask: np.ndarray | None) -> Tensor:
+    def _mha(
+        self, base: str, q_in: Tensor, kv_in: Tensor, attn_mask: np.ndarray | None, cache: DecodeCache | None = None
+    ) -> Tensor:
+        """Multi-head attention of ``q_in`` over ``kv_in``.
+
+        With a decode cache, self-attention (``kv_in is q_in``) appends the new
+        tokens' keys and values to the cached ones of the earlier tokens, and
+        cross-attention projects ``kv_in``, the fixed memory, on the first step
+        only.
+        """
         heads = self.config.heads
         dh = self.config.hidden // heads
         nq = q_in.shape[-2]
@@ -288,9 +333,20 @@ class Model:
             axes = tuple(range(shaped.ndim - 3)) + (shaped.ndim - 2, shaped.ndim - 3, shaped.ndim - 1)
             return transpose(shaped, axes)
 
+        def project() -> tuple[Tensor, Tensor]:
+            k = split_heads(kv_in @ self._p(f"{base}.wk") + self._p(f"{base}.bk"))
+            v = split_heads(kv_in @ self._p(f"{base}.wv") + self._p(f"{base}.bv"))
+            return k, v
+
         q = split_heads(q_in @ self._p(f"{base}.wq") + self._p(f"{base}.bq"))
-        k = split_heads(kv_in @ self._p(f"{base}.wk") + self._p(f"{base}.bk"))
-        v = split_heads(kv_in @ self._p(f"{base}.wv") + self._p(f"{base}.bv"))
+        if cache is None:
+            k, v = project()
+        elif kv_in is q_in:
+            k, v = cache.append(base, *project())
+        else:
+            if base not in cache.memory_kv:
+                cache.memory_kv[base] = tuple(stop_gradient(x) for x in project())
+            k, v = cache.memory_kv[base]
         scores = matmul(q, transpose(k)) * (1.0 / np.sqrt(dh))
         if attn_mask is not None:
             scores = masked_fill(scores, attn_mask, _NEG_FILL)
@@ -310,12 +366,13 @@ class Model:
             return x
         return dropout_op(x, self.config.dropout, rng)
 
-    def _embed(self, side: str, ids: np.ndarray) -> Tensor:
-        length = ids.shape[-1]
+    def _embed(self, side: str, ids: np.ndarray, start: int = 0) -> Tensor:
+        """Token plus position embeddings; the first token sits at position ``start``."""
+        length = start + ids.shape[-1]
         if length > self.config.max_len:
             raise LengthError(f"sequence of {length} tokens exceeds max_len {self.config.max_len}")
         tok = gather(self._p(f"{side}.tok_emb"), ids, axis=0)
-        pos = gather(self._p(f"{side}.pos_emb"), np.arange(length), axis=0)
+        pos = gather(self._p(f"{side}.pos_emb"), np.arange(start, length), axis=0)
         return tok + pos
 
     # -- encoder ------------------------------------------------------------------
@@ -333,19 +390,28 @@ class Model:
 
     # -- decoder ------------------------------------------------------------------
 
-    def _decode(self, memory: Tensor, dec_ids: np.ndarray, dropout_rng=None) -> Tensor:
+    def _decode(self, memory: Tensor, dec_ids: np.ndarray, dropout_rng=None, cache: DecodeCache | None = None) -> Tensor:
+        """Next-token logits for each of ``dec_ids``' tokens, attending to ``memory``.
+
+        Without a cache ``dec_ids`` is the whole prefix. With one it holds
+        only the tokens after the ``cache.length`` already fed, and the
+        cache takes in their keys and values.
+        """
         ids = np.asarray(dec_ids, dtype=np.int64)
         t = ids.shape[-1]
-        causal = np.triu(np.ones((t, t), dtype=bool), k=1)
-        x = self._maybe_dropout(self._embed("dec", ids), dropout_rng)
+        start = 0 if cache is None else cache.length
+        causal = np.triu(np.ones((t, start + t), dtype=bool), k=start + 1)  # token i sees positions <= start + i
+        x = self._maybe_dropout(self._embed("dec", ids, start), dropout_rng)
         for i in range(self.config.layers):
             base = f"dec.l{i}"
             h = self._ln(f"{base}.ln1", x)
-            x = x + self._maybe_dropout(self._mha(f"{base}.self", h, h, causal), dropout_rng)
+            x = x + self._maybe_dropout(self._mha(f"{base}.self", h, h, causal, cache), dropout_rng)
             x = x + self._maybe_dropout(
-                self._mha(f"{base}.cross", self._ln(f"{base}.ln2", x), memory, None), dropout_rng
+                self._mha(f"{base}.cross", self._ln(f"{base}.ln2", x), memory, None, cache), dropout_rng
             )
             x = x + self._maybe_dropout(self._ff(f"{base}.ff", self._ln(f"{base}.ln3", x)), dropout_rng)
+        if cache is not None:
+            cache.length += t
         x = self._ln("dec.ln_f", x)
         return x @ self._p("dec.out.w") + self._p("dec.out.b")
 
@@ -454,21 +520,26 @@ class Model:
         """Beam search maximizing summed token log-probability.
 
         No length normalization; hypotheses end at <eos> or at ``max_len``
-        tokens. Returns the best finished hypothesis (special tokens
-        stripped) and its log-probability.
+        tokens. Decoding is incremental: each step feeds only every live
+        hypothesis's newest token to ``_decode``, which reads the earlier
+        tokens' keys and values from a ``DecodeCache``. Returns the best
+        finished hypothesis as text, special tokens stripped, and the
+        log-probability of its whole id sequence, which counts any special
+        token the text drops.
         """
         if beam < 1:
             raise ConfigError(f"beam width must be >= 1, got {beam}")
         max_len = min(max_len or self.config.max_len, self.config.max_len)
         memory = self._memory(np.asarray(input_ids, dtype=np.int64), category_mask)
 
+        cache = DecodeCache()
         active: list[tuple[list[int], float]] = [([BOS], 0.0)]
         finished: list[tuple[list[int], float]] = []
         for _ in range(max_len - 1):
             if not active:
                 break
-            ids = np.asarray([seq for seq, _ in active], dtype=np.int64)
-            logits = self._decode(memory, ids).data[:, -1, :]
+            ids = np.asarray([seq[-1:] for seq, _ in active], dtype=np.int64)
+            logits = self._decode(memory, ids, cache=cache).data[:, -1, :]
             shifted = logits - logits.max(axis=-1, keepdims=True)
             logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
             candidates: list[tuple[float, int, int]] = []
@@ -476,7 +547,7 @@ class Model:
                 top = np.argsort(logp[b])[::-1][:beam]
                 candidates.extend((score + float(logp[b, t]), b, int(t)) for t in top)
             candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-            next_active = []
+            next_active, parents = [], []
             for cand_score, b, tok in candidates:
                 if len(next_active) >= beam:
                     break
@@ -485,7 +556,9 @@ class Model:
                     finished.append((seq, cand_score))
                 else:
                     next_active.append((seq, cand_score))
+                    parents.append(b)
             active = next_active
+            cache.reorder(parents)
             # token log-probs are <= 0, so no active path can beat a finished one it trails
             if finished:
                 best_finished = max(s for _, s in finished)

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +42,10 @@ _STAGE_TERMS = {
 }
 
 
+# the value types a TrainConfig field accepts, by its annotation
+_FIELD_KINDS = {"float": numbers.Real, "int": numbers.Integral, "bool": bool}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 3e-4
@@ -59,6 +64,11 @@ class TrainConfig:
     log_every: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            value, expected = getattr(self, f.name), _FIELD_KINDS[f.type]
+            # bool is an Integral, so a bool passes only where a bool is expected
+            if isinstance(value, bool) != (expected is bool) or not isinstance(value, expected):
+                raise ConfigError(f"train config {f.name} must be of type {f.type}, got {value!r}")
         # `not <in range>` rather than `<out of range>`: NaN fails every comparison
         ranges = {
             "lr": (0 < self.lr < math.inf, "in (0, inf)"),

@@ -199,6 +199,31 @@ def test_nan_train_setting_is_a_config_error(tmp_path, capsys, key):
     assert f"{key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("lr", "0.1"), ("epochs", 1.5), ("batch_size", True)])
+def test_mistyped_train_setting_is_a_config_error(tmp_path, capsys, key, value):
+    bad = tmp_path / "typed.json"
+    bad.write_text(json.dumps({"train": {key: value}}))
+    rc = main(["train", "--config", str(bad), "--data", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "m.rtag")])
+    assert rc == 1
+    assert f"{key} must be of type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [2, -0.5, float("nan")])
+def test_out_of_range_parent_lambda_is_a_config_error(trained, tmp_path, capsys, value):
+    root, _, ckpt = trained
+    bad = tmp_path / "lambda.json"
+    bad.write_text(json.dumps({"metrics": {"parent_lambda": value}}))
+    rc = main(
+        [
+            "eval", "--ckpt", str(ckpt), "--data", str(root / "split.jsonl"), "--split", "test",
+            "--beam", "1", "--report", str(tmp_path / "r.json"), "--config", str(bad),
+        ]
+    )
+    assert rc == 1
+    assert "parent_lambda" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_train_init_rejects_conflicting_model_setting(trained, tmp_path, capsys):
     root, _, _ = trained
     conflict = json.loads(json.dumps(MICRO_CONFIG))

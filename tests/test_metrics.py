@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from retag.errors import ContractError
+from retag.errors import ConfigError, ContractError
 from retag.metrics import (
     EvalReport,
     MetricConfig,
@@ -120,8 +120,9 @@ def test_parent_rejects_bad_lambda():
     table = mk_table(["h"], [["a"]])
     with pytest.raises(ContractError):
         parent("a", "a", table, (), lam=1.5)
-    with pytest.raises(ContractError):
-        MetricConfig(parent_lambda=-0.1)
+    for bad in (-0.1, 1.5, float("nan"), "0.1", True):
+        with pytest.raises(ConfigError, match="parent_lambda"):
+            MetricConfig(parent_lambda=bad)
 
 
 # -- grouped reports -----------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 
 from retag.codebook import TWO_BANK_CATEGORIES
 from retag.errors import ConfigError, ContractError, LengthError
-from retag.model import Model, ModelConfig, prepare_instance
+from retag.model import DecodeCache, Model, ModelConfig, prepare_instance
 from retag.numerics import Tape, backward, tensor
-from retag.tables import CATEGORIES, Instance, Table, build_vocab
+from retag.tables import BOS, CATEGORIES, EOS, Instance, Table, build_vocab, decode_text
 from retag.trainer import TrainConfig, total_loss
 
 VOCAB_TEXT = [
@@ -38,6 +38,11 @@ def mk_instance(categories={"numerical"}, reference="ada is 36"):
 @pytest.fixture(scope="module")
 def model(vocab):
     return Model.init(mk_config(vocab), vocab, seed=3)
+
+
+@pytest.fixture(scope="module")
+def model64(vocab):
+    return Model.init(mk_config(vocab), vocab, seed=3, dtype=np.float64)
 
 
 def test_config_validation(vocab):
@@ -246,3 +251,80 @@ def test_beam_widening_never_hurts(model, vocab):
         ]
         for small, large in zip(scores, scores[1:]):
             assert large >= small - 1e-9
+
+
+# -- incremental decoding -------------------------------------------------------------
+
+
+def random_prefixes(vocab, rows, length, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([np.full((rows, 1), BOS), rng.integers(3, len(vocab), size=(rows, length - 1))], axis=1)
+
+
+def test_cached_decode_matches_teacher_forcing(model64, vocab):
+    prepared = prepare_instance(vocab, mk_instance(), "retag")
+    memory = model64._memory(prepared.input_ids, prepared.category_mask)
+    ids = random_prefixes(vocab, rows=3, length=20)
+    full = model64._decode(memory, ids).data
+    cache = DecodeCache()
+    for t in range(ids.shape[1]):
+        step = model64._decode(memory, ids[:, t : t + 1], cache=cache).data
+        assert step.shape == (3, 1, len(vocab))
+        np.testing.assert_allclose(step[:, 0], full[:, t], rtol=0, atol=1e-12)
+    assert cache.length == 20
+
+
+def test_cached_decode_follows_reordered_rows(model64, vocab):
+    prepared = prepare_instance(vocab, mk_instance({"temporal", "commonsense"}), "retag")
+    memory = model64._memory(prepared.input_ids, prepared.category_mask)
+    head = random_prefixes(vocab, rows=3, length=8, seed=1)
+    tail = random_prefixes(vocab, rows=3, length=7, seed=2)[:, 1:]
+    cache = DecodeCache()
+    model64._decode(memory, head, cache=cache)
+    cache.reorder([2, 0, 0])
+    whole = np.concatenate([head[[2, 0, 0]], tail], axis=1)
+    full = model64._decode(memory, whole).data
+    for t in range(tail.shape[1]):
+        step = model64._decode(memory, tail[:, t : t + 1], cache=cache).data
+        np.testing.assert_allclose(step[:, 0], full[:, head.shape[1] + t], rtol=0, atol=1e-12)
+
+
+def test_cached_decode_checks_the_absolute_position(model64, vocab):
+    memory = model64.encode(np.array([1, 7, 8, 2]))
+    cache = DecodeCache(length=model64.config.max_len)
+    with pytest.raises(LengthError):
+        model64._decode(memory, np.array([[BOS]]), cache=cache)
+
+
+def reference_beam(model, memory, beam, max_len):
+    """Beam search as ``generate`` runs it, with a full-prefix ``_decode`` per step."""
+    active, finished = [([BOS], 0.0)], []
+    for _ in range(max_len - 1):
+        if not active:
+            break
+        logits = model._decode(memory, np.array([seq for seq, _ in active])).data[:, -1]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        candidates = sorted(
+            ((score + float(logp[b, t]), b, int(t)) for b, (_, score) in enumerate(active) for t in np.argsort(logp[b])[::-1][:beam]),
+            key=lambda c: (-c[0], c[1], c[2]),
+        )
+        kept = []
+        for score, b, tok in candidates:
+            if len(kept) >= beam:
+                break
+            (finished if tok == EOS else kept).append((active[b][0] + [tok], score))
+        active = kept
+        if finished and all(s <= max(f for _, f in finished) for _, s in active):
+            break
+    return max(finished + active, key=lambda c: c[1])
+
+
+def test_beam_four_matches_full_prefix_beam_search(model64, vocab):
+    for cats in ({"numerical"}, {"temporal", "commonsense"}, {"descriptive"}, {"entity", "tabular"}):
+        prepared = prepare_instance(vocab, mk_instance(cats), "retag")
+        memory = model64._memory(prepared.input_ids, prepared.category_mask)
+        seq, score = reference_beam(model64, memory, beam=4, max_len=14)
+        text, lp = model64.generate(prepared.input_ids, prepared.category_mask, beam=4, max_len=14)
+        assert text == decode_text(vocab, seq)
+        assert lp == pytest.approx(score, rel=0, abs=1e-9)
